@@ -4,6 +4,13 @@ Supports SUM, AVG, MIN, MAX, COUNT (non-null), COUNT(*), and
 COUNT(DISTINCT expr), with zero or more grouping keys. Grouping keys are
 factorized per column and mixed into a single group id, after which each
 aggregate reduces with ``np.bincount`` / ``ufunc.at``.
+
+Factorization takes the dense-domain kernel of
+:func:`~repro.engine.keycache.factorize` (``bincount`` presence mask +
+``cumsum`` rank) whenever a key's integer domain is at most the input
+row count, and ``np.unique`` otherwise; both number groups in the same
+ascending order. The kernel that ran is noted on the operator span
+(``kernel="dense"|"sorted"``) and counted in ``engine.dense.group``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from repro.obs.trace import note
 from ..column import Column
 from ..expr import Expr
 from ..frame import Frame
-from ..keycache import combine_codes, key_cache
+from ..keycache import (
+    combine_codes,
+    dense_factorized,
+    dense_group_stats,
+    factorize,
+    first_rows,
+    key_cache,
+)
 from ..types import FLOAT64, INT64, STRING
 
 __all__ = ["AggSpec", "execute_aggregate", "try_encoded_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
@@ -90,47 +104,83 @@ def try_encoded_aggregate(node, db, ctx) -> Frame | None:
     return plan.execute(ctx)
 
 
-def _key_codes(column: Column) -> tuple[np.ndarray, int]:
+def _key_codes(column: Column) -> tuple[np.ndarray, int, bool]:
     """Dense factorization codes for one grouping column, with NULL as
     its own group (SQL GROUP BY semantics).
 
-    NULL gets the reserved code 0 and valid values shift up by one —
-    never a ``values.min() - 1`` sentinel, which collides with real data
-    (or wraps) when the column already holds the dtype minimum. NULLs
-    keep sorting before every valid value, exactly where the old
-    sentinel placed them, so group output order is unchanged.
+    Returns ``(codes, cardinality, dense)``; ``dense`` reports whether
+    the dense-domain kernel produced the codes. NULL gets the reserved
+    code 0 and valid values shift up by one — never a
+    ``values.min() - 1`` sentinel, which collides with real data (or
+    wraps) when the column already holds the dtype minimum. NULLs keep
+    sorting before every valid value, exactly where the old sentinel
+    placed them, so group output order is unchanged.
     """
     values = column.values
     if column.valid is not None and not bool(column.valid.all()):
-        uniques = np.unique(values[column.valid])
-        codes = np.searchsorted(uniques, values) + 1
-        codes[~column.valid] = 0
-        return codes.astype(np.int64, copy=False), len(uniques) + 1
+        valid_values = values[column.valid]
+        uniques, valid_codes = factorize(valid_values)
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[column.valid] = valid_codes + 1
+        dense = dense_factorized(uniques, len(valid_values))
+        return codes, len(uniques) + 1, dense
     uniques, codes = key_cache.factorize(values)
-    return codes, max(1, len(uniques))
+    return codes, max(1, len(uniques)), dense_factorized(uniques, len(values))
 
 
-def _group_ids(frame: Frame, keys: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
-    """Factorize key columns into dense group ids.
+def _group_ids(
+    frame: Frame, keys: list[str]
+) -> tuple[np.ndarray, int, np.ndarray, bool]:
+    """Factorize key columns into dense group ids, numbered in ascending
+    key order (the ``np.unique`` order of the combined codes).
 
-    Returns ``(gids, n_groups, first_row_of_group)``.
+    Returns ``(gids, n_groups, first_row_of_group, dense)``, where
+    ``dense`` reports that no step fell back to a sorting kernel.
     """
     if not keys:
         gids = np.zeros(frame.nrows, dtype=np.int64)
-        return gids, 1, np.zeros(1, dtype=np.int64)
+        return gids, 1, np.zeros(1, dtype=np.int64), True
     code_arrays: list[np.ndarray] = []
     cards: list[int] = []
+    dense = True
     for name in keys:
-        codes, card = _key_codes(frame.column(name))
+        codes, card, key_dense = _key_codes(frame.column(name))
         code_arrays.append(codes)
         cards.append(card)
-    combined = combine_codes(code_arrays, cards)
-    uniques, gids = np.unique(combined, return_inverse=True)
-    n_groups = len(uniques)
-    first = np.full(n_groups, -1, dtype=np.int64)
-    # First occurrence per group (reverse pass keeps the earliest row).
-    first[gids[::-1]] = np.arange(frame.nrows - 1, -1, -1)
-    return gids, n_groups, first
+        dense = dense and key_dense
+    if len(keys) == 1 and frame.nrows:
+        # One key's codes already number every group 0..card-1.
+        gids, n_groups = code_arrays[0], cards[0]
+    else:
+        uniques, gids = factorize(combine_codes(code_arrays, cards))
+        n_groups = len(uniques)
+        dense = dense and dense_factorized(uniques, frame.nrows)
+    return gids, n_groups, first_rows(gids, n_groups), dense
+
+
+def _distinct_counts(gids: np.ndarray, key: np.ndarray, n_groups: int) -> np.ndarray:
+    """Number of distinct ``key`` values in each group.
+
+    Integer keys factorize (dense kernel when their domain allows) and
+    mix with the group id into one int64 pair code, so a single
+    ``np.sort`` finds the distinct pairs. Other keys — and pair codes
+    that would overflow int64 — sort the ``(gid, key)`` pairs with
+    ``lexsort``, which also keeps every NaN distinct, as before.
+    """
+    if key.dtype.kind in "iu" and len(key):
+        uniques, codes = factorize(key)
+        card = len(uniques)
+        if n_groups * card < 2**63:
+            pairs = np.sort(gids * card + codes)
+            distinct = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+            return np.bincount(distinct // card, minlength=n_groups)
+    order = np.lexsort((key, gids))
+    sg, sk = gids[order], key[order]
+    if not len(sg):
+        return np.zeros(n_groups, dtype=np.int64)
+    new = np.ones(len(sg), dtype=bool)
+    new[1:] = (sg[1:] != sg[:-1]) | (sk[1:] != sk[:-1])
+    return np.bincount(sg[new], minlength=n_groups)
 
 
 def _input(spec: AggSpec, frame: Frame, ctx) -> Column:
@@ -165,7 +215,7 @@ def _global_aggregate(frame: Frame, aggs: dict[str, AggSpec], ctx) -> Frame:
             out_columns[name] = Column(INT64, np.asarray([frame.nrows], dtype=np.int64))
             continue
         column = _input(spec, frame, ctx)
-        values = column.values.astype(np.float64)
+        values = column.values.astype(np.float64, copy=False)
         valid = column.valid
         if spec.func == "sum":
             weights = values if valid is None else np.where(valid, values, 0.0)
@@ -231,20 +281,23 @@ def execute_aggregate(
     """
     if not group_by:
         return _global_aggregate(frame, aggs, ctx)
-    gids, n_groups, first = _group_ids(frame, group_by)
+    gids, n_groups, first, dense = _group_ids(frame, group_by)
+    if dense:
+        dense_group_stats.hit()
+    else:
+        dense_group_stats.miss()
 
     out_columns: dict[str, Column] = {}
     for name in group_by:
         out_columns[name] = frame.column(name).take(first)
 
-    ones = None
     for name, spec in aggs.items():
         if spec.func == "count_star":
             counts = np.bincount(gids, minlength=n_groups)
             out_columns[name] = Column(INT64, counts.astype(np.int64))
             continue
         column = _input(spec, frame, ctx)
-        values = column.values.astype(np.float64)
+        values = column.values.astype(np.float64, copy=False)
         valid = column.valid
         if spec.func == "sum":
             weights = values if valid is None else np.where(valid, values, 0.0)
@@ -261,8 +314,6 @@ def execute_aggregate(
                 out_columns[name] = Column(FLOAT64, sums / counts)
         elif spec.func == "count":
             if valid is None:
-                if ones is None:
-                    ones = np.ones(frame.nrows)
                 counts = np.bincount(gids, minlength=n_groups)
             else:
                 counts = np.bincount(gids, weights=valid.astype(np.float64), minlength=n_groups)
@@ -296,15 +347,7 @@ def execute_aggregate(
             pair_gids = gids
             if valid is not None:
                 key, pair_gids = key[valid], gids[valid]
-            # Count unique (gid, value) pairs per gid.
-            order = np.lexsort((key, pair_gids))
-            sg, sk = pair_gids[order], key[order]
-            if len(sg):
-                new = np.ones(len(sg), dtype=bool)
-                new[1:] = (sg[1:] != sg[:-1]) | (sk[1:] != sk[:-1])
-                counts = np.bincount(sg[new], minlength=n_groups)
-            else:
-                counts = np.zeros(n_groups, dtype=np.int64)
+            counts = _distinct_counts(pair_gids, key, n_groups)
             out_columns[name] = Column(INT64, counts.astype(np.int64))
         else:
             raise ValueError(f"unknown aggregate {spec.func!r}")
@@ -319,5 +362,7 @@ def execute_aggregate(
     ctx.work.seq_bytes += frame.nrows * 8 * max(1, len(aggs))
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, groups=n_groups, aggs=len(aggs))
+    note(
+        ctx, groups=n_groups, aggs=len(aggs), kernel="dense" if dense else "sorted"
+    )
     return out

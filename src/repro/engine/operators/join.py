@@ -1,18 +1,35 @@
 """Hash joins: inner, left outer, semi, and anti.
 
-The physical algorithm is sort-and-binary-search over the build side's
-encoded keys, which is a cache-friendly stand-in with identical output to
-a hash join; the *work profile* it records is that of a classic hash join
-(build inserts + random probes), because that is what MonetDB executes
-and what the hardware model should price.
+The physical algorithm picks one of two build-side indexes over the
+encoded keys, both with output identical to a hash join's:
+
+* **dense** — integer build keys whose domain ``max - min + 1``
+  (computed in Python ints) is at most ``2 × build rows``, i.e. whose
+  ``8 × domain`` bytes of per-key slots fit in the
+  ``HASH_ENTRY_BYTES × build rows`` the memory budget already charges.
+  Unique keys get a direct lookup table; duplicate keys get CSR offsets
+  (``bincount`` + ``cumsum``) over the stable build order, which is
+  ``arange`` for presorted keys and a 16-bit-digit LSD radix sort
+  otherwise. A probe is one clamped offset subtraction and one or two
+  table gathers — no sort, no binary search;
+* **sorted** — any other keys: stable argsort of the build side plus
+  two binary searches per probe row.
+
+Both produce the same ``(left, right)`` pairs in the same order (left
+row ascending, then build rows in stable key order). Semi and anti joins
+only count matches and never expand pairs. The kernel that ran is noted
+on the operator span (``kernel="dense"|"sorted"``) and counted in the
+``engine.dense.join`` hit/miss metrics. The *work profile* recorded is
+that of a classic hash join (build inserts + random probes), because
+that is what MonetDB executes and what the hardware model should price.
 
 String keys join on dictionary codes whenever possible: sides sharing a
 dictionary object compare int32 codes directly, and differing
 dictionaries are remapped through their union — O(|dictionaries|) work —
 instead of decoding every row to Python strings. Key factorizations and
-build-side sort orders are memoized in the process-wide
+build-side indexes are memoized in the process-wide
 :mod:`~repro.engine.keycache`, so repeated executions against the same
-(immutable) base arrays skip the ``np.unique``/``argsort``.
+(immutable) base arrays skip rebuilding them.
 """
 
 from __future__ import annotations
@@ -23,7 +40,16 @@ from repro.obs.trace import note
 
 from ..column import Column
 from ..frame import Frame
-from ..keycache import combine_codes, key_cache
+from ..keycache import (
+    HASH_ENTRY_BYTES,
+    combine_codes,
+    dense_join_stats,
+    in_domain_offsets,
+    int_bounds,
+    key_cache,
+    offsets_from,
+    stable_order,
+)
 from ..types import STRING
 
 __all__ = ["execute_join"]
@@ -106,25 +132,135 @@ def _null_mask(columns: list[Column]) -> np.ndarray | None:
     return mask
 
 
-def _match(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _DenseIndex:
+    """Build side over the integer domain ``[lo, lo + span)``.
+
+    Unique keys keep ``slots`` (build row per offset, -1 when absent);
+    duplicate keys keep CSR ``offsets`` into ``order``, the stable build
+    order (``None`` when the keys are already sorted). Every table has
+    one trailing empty entry at offset ``span``, where probes outside
+    the domain land. Index arrays are int32, so the resident state is at
+    most ``4 × (span + 2 + rows) ≤ 12 × rows + 8`` bytes — inside the
+    ``HASH_ENTRY_BYTES × rows`` the join is charged for.
+    """
+
+    __slots__ = ("lo", "span", "wide", "slots", "offsets", "order")
+    kernel = "dense"
+
+    def __init__(self, keys: np.ndarray, lo: int, span: int):
+        self.lo, self.span = lo, span
+        self.wide = np.uint64 if keys.dtype == np.uint64 else np.int64
+        self.slots = self.offsets = self.order = None
+        rel = in_domain_offsets(keys, lo)
+        counts = np.bincount(rel, minlength=span)
+        if counts.max() <= 1:
+            self.slots = np.full(span + 1, -1, dtype=np.int32)
+            self.slots[rel] = np.arange(len(keys), dtype=np.int32)
+            return
+        self.offsets = np.zeros(span + 2, dtype=np.int32)
+        np.cumsum(counts, out=self.offsets[1 : span + 1])
+        self.offsets[span + 1] = len(keys)
+        if not bool(np.all(rel[1:] >= rel[:-1])):
+            self.order = stable_order(rel, span).astype(np.int32)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes for a in (self.slots, self.offsets, self.order) if a is not None
+        )
+
+    def accepts(self, probe: np.ndarray) -> bool:
+        wide = np.uint64 if probe.dtype == np.uint64 else np.int64
+        return probe.dtype.kind in "iu" and wide is self.wide
+
+    def match(self, probe: np.ndarray, pairs: bool):
+        rel = np.minimum(offsets_from(probe, self.lo), np.uint64(self.span))
+        rel = rel.view(np.int64)
+        if self.slots is not None:
+            hit = self.slots[rel]
+            matched = hit >= 0
+            counts = matched.astype(np.int64)
+            if not pairs:
+                return counts, None, None
+            left_idx = np.flatnonzero(matched)
+            return counts, left_idx, hit[left_idx].astype(np.int64)
+        start = self.offsets[rel]
+        counts = (self.offsets[1:][rel] - start).astype(np.int64)
+        if not pairs:
+            return counts, None, None
+        return (counts, *_expand(counts, start, self.order))
+
+
+class _SortedIndex:
+    """Build side as a stable argsort of arbitrary (comparable) keys."""
+
+    __slots__ = ("keys", "order")
+    kernel = "sorted"
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.order = np.argsort(keys, kind="stable")
+
+    @property
+    def nbytes(self) -> int:
+        return self.order.nbytes  # the keys are the cache entry's source
+
+    def match(self, probe: np.ndarray, pairs: bool):
+        sorted_keys = self.keys[self.order]
+        lo = np.searchsorted(sorted_keys, probe, side="left")
+        counts = np.searchsorted(sorted_keys, probe, side="right") - lo
+        if not pairs:
+            return counts, None, None
+        return (counts, *_expand(counts, lo, self.order))
+
+
+def _build_index(keys: np.ndarray) -> "_DenseIndex | _SortedIndex":
+    """Dense index when the key domain fits the build's hash-entry
+    charge (``8 × span ≤ HASH_ENTRY_BYTES × rows``), else sorted."""
+    bounds = int_bounds(keys)
+    if bounds is not None and len(keys) < 2**31:
+        span = bounds[1] - bounds[0] + 1
+        if 8 * span <= HASH_ENTRY_BYTES * len(keys):
+            return _DenseIndex(keys, bounds[0], span)
+    return _SortedIndex(keys)
+
+
+def _expand(
+    counts: np.ndarray, start: np.ndarray, order: "np.ndarray | None"
+) -> tuple[np.ndarray, np.ndarray]:
+    """List every (left, right) match pair: left row ``i`` pairs with
+    build rows ``order[start[i] : start[i] + counts[i]]`` (``order=None``
+    is the identity)."""
+    total = int(counts.sum())
+    left_idx = np.repeat(np.arange(len(counts)), counts)
+    if not total:
+        return left_idx, np.empty(0, dtype=np.int64)
+    # Position of each pair inside its run, shifted to the run's start.
+    shift = start.astype(np.int64, copy=False) - (np.cumsum(counts) - counts)
+    positions = np.arange(total) + np.repeat(shift, counts)
+    if order is None:
+        return left_idx, positions
+    return left_idx, order[positions].astype(np.int64, copy=False)
+
+
+def _match(left_keys: np.ndarray, right_keys: np.ndarray, pairs: bool = True):
     """For every left row, find matching right rows.
 
-    Returns ``(counts, left_expanded, right_expanded)`` where the expanded
-    arrays list each (left, right) match pair.
+    Returns ``(counts, left_expanded, right_expanded, kernel)`` where the
+    expanded arrays list each (left, right) match pair; with
+    ``pairs=False`` (semi/anti joins) only ``counts`` is computed and
+    both are ``None``. The build index is cached by ``right_keys``
+    identity; a dense index falls back to sorting for a probe dtype it
+    cannot offset (floats, or uint64 against signed keys).
     """
-    order = key_cache.sort_order(right_keys)
-    sorted_keys = right_keys[order]
-    lo = np.searchsorted(sorted_keys, left_keys, side="left")
-    hi = np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_keys)), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[starts + offsets] if total else np.empty(0, dtype=np.int64)
-    return counts, left_idx, right_idx
+    index = key_cache.memo("join_index", right_keys, _build_index)
+    if index.kernel == "dense" and not index.accepts(left_keys):
+        index = _SortedIndex(right_keys)
+    if index.kernel == "dense":
+        dense_join_stats.hit()
+    else:
+        dense_join_stats.miss()
+    return (*index.match(left_keys, pairs), index.kernel)
 
 
 def execute_join(
@@ -166,13 +302,15 @@ def execute_join(
     else:
         right_map = None
 
-    counts, left_idx, right_idx = _match(left_keys, right_keys)
+    pairs = how in ("inner", "left")
+    counts, left_idx, right_idx, kernel = _match(left_keys, right_keys, pairs)
     if left_null is not None:
         # NULL left keys match nothing.
-        matched_null = left_null[left_idx]
-        left_idx, right_idx = left_idx[matched_null], right_idx[matched_null]
         counts = counts * left_null
-    if right_map is not None and len(right_idx):
+        if pairs:
+            matched_null = left_null[left_idx]
+            left_idx, right_idx = left_idx[matched_null], right_idx[matched_null]
+    if right_map is not None and pairs and len(right_idx):
         right_idx = right_map[right_idx]
 
     # Work accounting: hash build over the (smaller, by convention right)
@@ -180,7 +318,7 @@ def execute_join(
     ctx.work.tuples_in += left.nrows + right.nrows
     ctx.work.seq_bytes += sum(c.nbytes for c in left_cols) + sum(c.nbytes for c in right_cols)
     ctx.work.ops += left.nrows + 2 * right.nrows  # probe + build/hash
-    ctx.work.rand_accesses += left.nrows + len(left_idx)
+    ctx.work.rand_accesses += left.nrows + int(counts.sum())
     # The build-side hash structure (key + bucket pointer per row) is
     # part of the operator's resident working set.
     ctx.work.out_bytes += right.nrows * 16
@@ -212,7 +350,7 @@ def execute_join(
     ctx.work.out_bytes += out.nbytes
     note(
         ctx, how=how, left_rows=left.nrows, right_rows=right.nrows,
-        matches=out.nrows,
+        matches=out.nrows, kernel=kernel,
     )
     return out
 

@@ -66,7 +66,7 @@ from repro.obs.trace import note
 from .column import Column
 from .compression import ALL_ENCODINGS
 from .frame import Frame
-from .keycache import combine_codes
+from .keycache import HASH_ENTRY_BYTES, combine_codes, stable_order
 from .operators.aggregate import _key_codes, execute_aggregate
 from .operators.join import _combine_keys, _encode_key_pair, _stack, execute_join
 from .types import BOOL, DATE, FLOAT64, INT64, STRING
@@ -101,10 +101,6 @@ MAX_RECURSIVE_FANOUT = 4
 # No point cutting partitions below this many rows — the per-file
 # constant costs would dominate the memory saved.
 MIN_PARTITION_ROWS = 4096
-
-# Bytes of hash-table state (key + bucket pointer) per build-side row,
-# matching the join operator's resident working-set charge.
-HASH_ENTRY_BYTES = 16
 
 _MAGIC = b"RSPL"
 _HEADER = struct.Struct("<Q")
@@ -482,9 +478,9 @@ def _partition_frame(frame: Frame, pids: np.ndarray, n_partitions: int) -> list[
     """Split a dense frame by partition id, preserving original relative
     row order inside each partition (stable sort — the float-summation
     order guarantee depends on this)."""
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    bounds = np.searchsorted(sorted_pids, np.arange(n_partitions + 1))
+    order = stable_order(pids, n_partitions)
+    bounds = np.zeros(n_partitions + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pids, minlength=n_partitions), out=bounds[1:])
     return [
         frame.take(order[bounds[i] : bounds[i + 1]]) for i in range(n_partitions)
     ]
@@ -740,7 +736,7 @@ def _group_partition_keys(frame: Frame, group_by) -> np.ndarray:
     code_arrays = []
     cards = []
     for name in group_by:
-        codes, card = _key_codes(frame.column(name))
+        codes, card, _ = _key_codes(frame.column(name))
         code_arrays.append(codes)
         cards.append(card)
     combined = combine_codes(code_arrays, cards)
@@ -766,7 +762,7 @@ def _grace_aggregate(frame, group_by, aggs, ctx) -> Frame:
         code_arrays = []
         cards = []
         for name in group_by:
-            codes, card = _key_codes(out.column(name))
+            codes, card, _ = _key_codes(out.column(name))
             code_arrays.append(codes)
             cards.append(card)
         order = np.argsort(combine_codes(code_arrays, cards), kind="stable")

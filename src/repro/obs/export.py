@@ -192,7 +192,7 @@ def validate_trace(doc: dict, schema: dict | None = None) -> None:
 # -- Text rendering -----------------------------------------------------
 
 _TREE_ATTRS = ("tuples_in", "tuples_out", "seq_bytes", "skipped_bytes",
-               "gather_bytes", "saved_bytes", "cached", "coverage")
+               "gather_bytes", "saved_bytes", "cached", "coverage", "kernel")
 
 
 def render_tree(tracer, max_children: int = 12) -> str:
