@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
 from repro.obs.trace import NULL_TRACER, OperatorSpanScope
 
@@ -52,7 +53,8 @@ def _annotate_rollups(qspan, node: PlanNode, settings: OptimizerSettings) -> Non
 
 class ExecContext:
     """Per-query execution state: the accumulating profile, the operator
-    currently charging work, and the scalar-subquery cache."""
+    currently charging work, the scalar-subquery cache, and the
+    dictionary memo."""
 
     def __init__(
         self,
@@ -85,6 +87,12 @@ class ExecContext:
         # scalar subquery. Morsel workers share this context, so cache
         # fills must be serialized.
         self._scalar_lock = threading.RLock()
+        # (key, id(dictionary)) -> (dictionary, value). The entry holds
+        # the dictionary itself so its id cannot be recycled while the
+        # query runs; the memo dies with the context, so it never serves
+        # a later query.
+        self._dictionary_memo: dict[tuple, tuple] = {}
+        self._dictionary_lock = threading.Lock()
 
     def begin_operator(self, name: str) -> OperatorWork:
         """Open a new operator: append its work record to the profile
@@ -103,6 +111,43 @@ class ExecContext:
     def close_op_span(self) -> None:
         if self._ops is not None:
             self._ops.close()
+
+    @contextmanager
+    def pipeline(self, name: str, **attrs):
+        """Run a block as a child pipeline span annotated with ``attrs``;
+        operators begun inside nest under it. Yields the span, or
+        ``None`` when not tracing."""
+        if self._ops is None:
+            yield None
+            return
+        self._ops.close()
+        outer = self._ops.parent
+        span = self.tracer.start("pipeline", name, parent=outer)
+        span.annotate(**attrs)
+        self._ops.parent = span
+        try:
+            yield span
+        finally:
+            self._ops.close()
+            self._ops.parent = outer
+            self.tracer.finish(span)
+
+    def dictionary_memo(self, key: tuple, dictionary, compute):
+        """``compute(dictionary)`` once per query for each ``key``.
+
+        String kernels run over a column's whole dictionary, and every
+        slice of a column shares it, so without the memo each morsel
+        would redo the same pass. The lock makes the memo single-flight:
+        concurrent morsels wait for the first computation instead of all
+        missing at once (the passes are GIL-bound, so waiting costs
+        nothing a parallel miss would have saved)."""
+        slot = (key, id(dictionary))
+        with self._dictionary_lock:
+            entry = self._dictionary_memo.get(slot)
+            if entry is None:
+                entry = (dictionary, compute(dictionary))
+                self._dictionary_memo[slot] = entry
+            return entry[1]
 
     def scalar(self, plan) -> object:
         """Evaluate an uncorrelated scalar subquery once, merging its work

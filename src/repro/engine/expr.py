@@ -12,7 +12,11 @@ see the arithmetic the query actually performed.
 
 String columns are dictionary-encoded; comparisons and LIKE run once per
 *unique* value and are then mapped through the code array, exactly the
-trick a columnar DBMS uses.
+trick a columnar DBMS uses. Every slice of a column shares its
+dictionary, so these per-dictionary passes are memoized on the query's
+execution context (:meth:`~repro.engine.executor.ExecContext.dictionary_memo`):
+a query split into morsels still makes one pass per kernel, not one per
+morsel. The per-row work charges do not depend on the memo.
 """
 
 from __future__ import annotations
@@ -203,10 +207,30 @@ def _numeric(column: Column) -> np.ndarray:
     return column.values
 
 
-def _string_unique_mask(column: Column, func) -> np.ndarray:
+def _per_dictionary(ctx, key: tuple, column: Column, func):
+    """``func(column.dictionary)``, memoized for the query under ``key``
+    when the context has a dictionary memo (bare test contexts do not)."""
+    memo = getattr(ctx, "dictionary_memo", None)
+    if memo is None:
+        return func(column.dictionary)
+    return memo(key, column.dictionary, func)
+
+
+def _string_unique_mask(ctx, key: tuple, column: Column, func) -> np.ndarray:
     """Apply ``func`` (vectorized over the dictionary) and map through codes."""
-    mask_unique = func(column.dictionary)
-    return mask_unique[column.values]
+    return _per_dictionary(ctx, key, column, func)[column.values]
+
+
+def _recoded(ctx, key: tuple, column: Column, func) -> Column:
+    """Map every dictionary entry through ``func`` and re-encode: the
+    output dictionary is the sorted set of mapped values."""
+
+    def recode(dictionary):
+        mapped = np.asarray([func(s) for s in dictionary], dtype=object)
+        return np.unique(mapped, return_inverse=True)
+
+    new_dict, remap = _per_dictionary(ctx, key, column, recode)
+    return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
 
 
 class Arith(Expr):
@@ -272,7 +296,9 @@ class Cmp(Expr):
             lcol = self.left.evaluate(frame, ctx)
             rv = self.right.value
             if lcol.dtype is STRING and isinstance(rv, str):
-                mask = _string_unique_mask(lcol, lambda d: ufunc(d.astype(str), rv))
+                mask = _string_unique_mask(
+                    ctx, ("cmp", self.op, rv), lcol, lambda d: ufunc(d.astype(str), rv)
+                )
                 return self._masked(lcol, mask)
             if lcol.dtype is DATE and isinstance(rv, str) and _DATE_RE.match(rv):
                 rv = date_to_days(rv)
@@ -352,7 +378,10 @@ class InList(Expr):
         ctx.work.ops += frame.nrows * max(1, len(self.values) // 2)
         if column.dtype is STRING:
             wanted = set(self.values)
-            mask = _string_unique_mask(column, lambda d: np.asarray([s in wanted for s in d]))
+            mask = _string_unique_mask(
+                ctx, ("in", frozenset(wanted)), column,
+                lambda d: np.asarray([s in wanted for s in d]),
+            )
         else:
             vals = self.values
             if column.dtype is DATE:
@@ -381,6 +410,10 @@ def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(parts) + "$", re.DOTALL)
 
 
+def _mean_length(dictionary: np.ndarray) -> float:
+    return float(np.mean([len(s) for s in dictionary])) if len(dictionary) else 0.0
+
+
 class Like(Expr):
     """SQL LIKE over a dictionary-encoded string column (evaluated once per
     unique value)."""
@@ -396,13 +429,14 @@ class Like(Expr):
             raise TypeError("LIKE requires a string operand")
         regex = self._regex
         mask = _string_unique_mask(
-            column, lambda d: np.asarray([regex.match(s) is not None for s in d])
+            ctx, ("like", self.pattern), column,
+            lambda d: np.asarray([regex.match(s) is not None for s in d]),
         )
         # Cost model: dictionary pooling makes our LIKE nearly free, but a
         # real engine pattern-matches every row's string bytes. Charge the
         # per-row work it would do: stream the string heap and ~1 op per
         # 2 characters matched.
-        avg_len = float(np.mean([len(s) for s in column.dictionary])) if len(column.dictionary) else 0.0
+        avg_len = _per_dictionary(ctx, ("avg_len",), column, _mean_length)
         ctx.work.ops += frame.nrows * avg_len * 0.5
         ctx.work.seq_bytes += frame.nrows * avg_len
         if column.valid is not None:
@@ -430,10 +464,8 @@ class Substring(Expr):
             raise TypeError("SUBSTRING requires a string operand")
         lo = self.start - 1
         hi = lo + self.length
-        sub_unique = np.asarray([s[lo:hi] for s in column.dictionary], dtype=object)
-        new_dict, remap = np.unique(sub_unique, return_inverse=True)
         ctx.work.ops += frame.nrows
-        return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
+        return _recoded(ctx, ("substring", lo, hi), column, lambda s: s[lo:hi])
 
     def references(self) -> set[str]:
         return self.operand.references()
@@ -455,10 +487,8 @@ class StringCase(Expr):
         if column.dtype is not STRING:
             raise TypeError(f"{self.mode.upper()} requires a string operand")
         func = str.upper if self.mode == "upper" else str.lower
-        mapped = np.asarray([func(s) for s in column.dictionary], dtype=object)
-        new_dict, remap = np.unique(mapped, return_inverse=True)
         ctx.work.ops += frame.nrows
-        return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
+        return _recoded(ctx, ("case", self.mode), column, func)
 
     def references(self) -> set[str]:
         return self.operand.references()

@@ -7,14 +7,17 @@ engine's :class:`~repro.engine.table.Table` is immutable, and unfiltered
 scans return the table-owned arrays zero-copy) that work is a pure
 function of the backing array's identity, so ``(table id, column set,
 version)`` collapses to "the same ndarray object" — which this cache
-keys on directly. Holding a strong reference to the keyed array
-guarantees its ``id()`` cannot be recycled while the entry lives, making
-identity checks sound.
+keys on directly. Each entry holds a *weak* reference to its keyed array
+and is dropped once that array dies: a lookup matches only the very
+object it was stored for, so a recycled ``id()`` can never hit, and a
+query's intermediate arrays — which can never be looked up again once
+the query ends — do not keep themselves or their factorizations
+resident after it.
 
 The cache is process-wide and thread-safe (morsel workers share it), and
-bounded both by entry count and by total cached bytes so transient
-per-query arrays cannot pin unbounded memory. Eviction is FIFO — the
-stable table-owned arrays that benefit re-enter on the next execution.
+bounded both by entry count and by total cached bytes. Eviction is FIFO
+— the stable table-owned arrays that benefit re-enter on the next
+execution.
 
 Also hosted here, shared by join, aggregate, distinct and spill
 partitioning:
@@ -45,6 +48,7 @@ the sorted fallback).
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -217,8 +221,11 @@ class KeyCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        # key -> (source_array, cached_value); insertion order = FIFO age.
-        self._entries: dict[tuple[str, int], tuple[np.ndarray, object]] = {}
+        # key -> (weakref to source array, cached value, payload bytes);
+        # insertion order = FIFO age.
+        self._entries: dict[tuple[str, int], tuple] = {}
+        # Keys whose source array died; purged under the lock.
+        self._dead: list[tuple[str, int]] = []
         self._bytes = 0
         self._stats = HitMissStats("engine.key_cache")
 
@@ -239,11 +246,23 @@ class KeyCache:
             total += getattr(part, "nbytes", 0)
         return total
 
+    def _purge(self) -> None:
+        """Drop entries whose source array has died (caller holds the
+        lock). The weakref callbacks only queue keys, so they never take
+        the lock themselves, whatever thread drops an array."""
+        while self._dead:
+            key = self._dead.pop()
+            entry = self._entries.get(key)
+            if entry is not None and entry[0]() is None:
+                del self._entries[key]
+                self._bytes -= entry[2]
+
     def _lookup(self, kind: str, array: np.ndarray):
         key = (kind, id(array))
         with self._lock:
+            self._purge()
             entry = self._entries.get(key)
-            if entry is not None and entry[0] is array:
+            if entry is not None and entry[0]() is array:
                 self._stats.hit()
                 return entry[1]
             self._stats.miss()
@@ -254,7 +273,10 @@ class KeyCache:
         if size > self.max_bytes:
             return
         key = (kind, id(array))
+        dead = self._dead
+        ref = weakref.ref(array, lambda _, key=key: dead.append(key))
         with self._lock:
+            self._purge()
             if key in self._entries:
                 return
             while self._entries and (
@@ -262,9 +284,8 @@ class KeyCache:
                 or self._bytes + size > self.max_bytes
             ):
                 old_key = next(iter(self._entries))
-                old_source, old_value = self._entries.pop(old_key)
-                self._bytes -= self._payload_bytes(old_source, old_value)
-            self._entries[key] = (array, value)
+                self._bytes -= self._entries.pop(old_key)[2]
+            self._entries[key] = (ref, value, size)
             self._bytes += size
 
     # -- cached computations -------------------------------------------
@@ -285,23 +306,19 @@ class KeyCache:
         cached by array identity."""
         return self.memo("factorize", array, factorize)
 
-    def sort_order(self, array: np.ndarray) -> np.ndarray:
-        """Stable argsort of ``array``, cached by array identity."""
-        return self.memo(
-            "sort_order", array, lambda a: np.argsort(a, kind="stable")
-        )
-
     # -- management ----------------------------------------------------
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._dead.clear()
             self._bytes = 0
             self._stats.reset_local()
 
     def stats(self) -> dict:
         """Deterministic (key-sorted) cache statistics."""
         with self._lock:
+            self._purge()
             return {
                 "bytes": self._bytes,
                 "entries": len(self._entries),

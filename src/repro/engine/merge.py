@@ -4,7 +4,7 @@ The parallel executor runs a pipeline fragment once per morsel; this
 module recombines the fragments:
 
 * :func:`concat_frames` — order-preserving concatenation (filter/project
-  chains).
+  chains); late morsels of one scan merge by concatenating row ids.
 * :func:`decompose_aggregates` / :func:`merge_partial_aggregates` — the
   classic two-phase group-by: per-morsel partial aggregation, then a
   merge aggregation over the stacked partials (AVG splits into SUM+COUNT,
@@ -51,12 +51,28 @@ __all__ = [
 ]
 
 
-def concat_frames(frames: list[Frame]) -> Frame:
-    """Stack frames vertically, preserving frame (morsel) order."""
+def concat_frames(frames: list[Frame], work=None) -> Frame:
+    """Stack frames vertically, preserving frame (morsel) order.
+
+    Late frames over the very same base columns concatenate their
+    selection vectors instead of their columns. Morsels of one scan carry
+    absolute, ascending row ids, so this yields exactly the late frame the
+    serial scan produces, and the deferred gather is paid once, by the
+    operator that consumes it. Anything else — dense frames, compressed
+    columns decoded per morsel, a mix — gathers and concatenates
+    physically, charging the gathered bytes to ``work`` when given.
+    """
     if not frames:
         raise ValueError("need at least one frame")
-    # Concatenation reads physical columns; late frames gather first.
-    frames = [f.dense() for f in frames]
+    first = frames[0]
+    if first.is_late and all(_same_base(f, first) for f in frames[1:]):
+        if len(frames) == 1:
+            return first
+        return Frame(
+            first.columns,
+            selection=np.concatenate([f.selection for f in frames]),
+        )
+    frames = [f.dense(work) for f in frames]
     if len(frames) == 1:
         return frames[0]
     names = list(frames[0].columns)
@@ -67,6 +83,15 @@ def concat_frames(frames: list[Frame]) -> Frame:
         name: Column.concat([f.columns[name] for f in frames]) for name in names
     }
     return Frame(columns, sum(f.nrows for f in frames))
+
+
+def _same_base(frame: Frame, first: Frame) -> bool:
+    """Whether ``frame`` is late over exactly ``first``'s column objects."""
+    return (
+        frame.is_late
+        and list(frame.columns) == list(first.columns)
+        and all(frame.columns[n] is col for n, col in first.columns.items())
+    )
 
 
 # ----------------------------------------------------------------------

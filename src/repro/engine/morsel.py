@@ -1,12 +1,19 @@
 """Morsel partitioning for intra-query parallelism.
 
-A *morsel* is a fixed-size horizontal slice of a base table (Leis et al.,
-"Morsel-Driven Parallelism"). The parallel executor runs a query's
-scan → filter → project → partial-aggregate pipeline once per morsel on a
-thread pool (the numpy kernels release the GIL), then merges the partial
-states with :mod:`repro.engine.merge`. Each morsel gets its own
+A *morsel* is a contiguous horizontal slice of a base table (Leis et
+al., "Morsel-Driven Parallelism"). The parallel executor runs a query's
+scan → filter → project → partial-aggregate pipeline once per morsel on
+a thread pool (the numpy kernels release the GIL), then merges the
+partial states with :mod:`repro.engine.merge`. Each morsel gets its own
 :class:`MorselContext` so operator work accounting never contends across
 threads; the per-morsel profiles are coalesced afterwards.
+
+Every morsel costs a fixed slice of Python time (zone-map
+classification, a context, frames, a thread handoff), so the executor
+cuts one range per worker by default rather than many small morsels;
+:mod:`repro.engine.parallel` decides per segment whether splitting pays
+at all. An explicit ``morsel_rows`` forces an N-row split, which the
+differential tests use to exercise every merge path on small data.
 """
 
 from __future__ import annotations
@@ -19,22 +26,11 @@ from .profile import WorkProfile
 from .table import Database, Table
 
 __all__ = [
-    "DEFAULT_MORSEL_ROWS",
-    "MIN_PARALLEL_ROWS",
     "MorselContext",
     "morsel_ranges",
     "scan_morsel",
     "table_is_morselable",
 ]
-
-# Default morsel size: ~64K rows keeps a handful of columns inside a
-# wimpy node's LLC while leaving enough morsels per query to load-balance
-# four cores at the paper's scale factors.
-DEFAULT_MORSEL_ROWS = 65536
-
-# Tables smaller than this execute serially; thread handoff would cost
-# more than the scan itself.
-MIN_PARALLEL_ROWS = 8192
 
 
 def morsel_ranges(nrows: int, morsel_rows: int) -> list[tuple[int, int]]:
@@ -77,7 +73,8 @@ class MorselContext:
     Operators charge work into a private :class:`WorkProfile`; scalar
     subqueries delegate to the parent query's context (whose cache the
     parallel executor pre-warms on the main thread, so worker-thread
-    lookups never re-enter the executor).
+    lookups never re-enter the executor), and so do dictionary passes,
+    so all morsels of a query share one memo.
     """
 
     def __init__(self, db: Database, parent, tracer=None, span=None):
@@ -124,6 +121,9 @@ class MorselContext:
     def scalar(self, plan) -> object:
         return self._parent.scalar(plan)
 
+    def dictionary_memo(self, key: tuple, dictionary, compute):
+        return self._parent.dictionary_memo(key, dictionary, compute)
+
 
 def scan_morsel(
     table: Table,
@@ -135,6 +135,7 @@ def scan_morsel(
     skipping: bool = True,
     late: bool = False,
     compressed: bool = False,
+    blocks=None,
 ) -> Frame:
     """Materialize one morsel of a table scan (zero-copy column slices).
 
@@ -153,5 +154,5 @@ def scan_morsel(
         cancel.check()
     return scan_range(
         table, columns, start, stop, ctx, predicate, skipping,
-        late=late, compressed=compressed,
+        late=late, compressed=compressed, blocks=blocks,
     )

@@ -126,6 +126,7 @@ def scan_range(
     skipping: bool = True,
     late: bool = False,
     compressed: bool = False,
+    blocks: tuple[np.ndarray, int] | None = None,
 ) -> Frame:
     """Scan rows ``[start, stop)`` of ``table``, applying ``predicate``
     (if any) with zone-map block skipping (if enabled).
@@ -136,7 +137,10 @@ def scan_range(
     it once per morsel — both share this exact code path. With
     ``compressed`` the scan compiles predicate conjuncts against encoded
     columns (:mod:`repro.engine.encoded`) and decodes per run instead of
-    per column.
+    per column. ``blocks`` is the ``(codes, probes)`` result of
+    :func:`~repro.engine.zonemap.classify_blocks` for this range when the
+    caller already classified it (the parallel executor does, to drop
+    provably empty morsels before scheduling them).
     """
     out_names = columns if columns is not None else table.column_names
     if predicate is None:
@@ -147,7 +151,9 @@ def scan_range(
     all_sargable = len(sargable) == len(conjuncts)
 
     block_rows = ZONE_MAP_BLOCK_ROWS
-    if skipping and sargable:
+    if blocks is not None:
+        codes, probes = blocks
+    elif skipping and sargable:
         codes, probes = classify_blocks(table, sargable, start, stop, block_rows)
     else:
         nblocks = max(0, -(-stop // block_rows) - start // block_rows)

@@ -1,17 +1,30 @@
 """Morsel-driven parallel plan executor.
 
 :class:`ParallelExecutor` is a drop-in for
-:class:`~repro.engine.executor.Executor` that keeps all of a wimpy
-node's cores busy (the paper's Table I point: the Pi 3B+ has four cores,
-and OLAP throughput on it lives or dies by using them). It works on
-*parallelizable segments* — maximal scan → filter/project chains over a
-base table, optionally capped by a decomposable aggregate or a fused
-top-k — executing each segment once per morsel on a shared
-``ThreadPoolExecutor`` (the numpy kernels release the GIL), then merging
-partial states with :mod:`repro.engine.merge`. Everything outside a
-segment (joins, sorts, DISTINCT, non-decomposable aggregates) runs
-serially over the merged intermediates, so *every* plan executes
-correctly; parallelism is an optimization, never a semantics change.
+:class:`~repro.engine.executor.Executor` that keeps a wimpy node's cores
+busy where that pays (the paper's Table I point: the Pi 3B+ has four
+cores). It works on *parallelizable segments* — maximal scan →
+filter/project chains over a base table, optionally capped by a
+decomposable aggregate or a fused top-k. Everything outside a segment
+(joins, sorts, DISTINCT, non-decomposable aggregates) runs serially over
+the segments' outputs, so *every* plan executes correctly; parallelism
+is an optimization, never a semantics change.
+
+Each segment runs one of two ways, chosen per segment by a work gate
+(:meth:`ParallelExecutor._split`): serially, through exactly the
+operator calls the serial executor makes, or pooled — once per morsel
+on a shared ``ThreadPoolExecutor`` (the numpy kernels release the GIL),
+with the partial states merged by :mod:`repro.engine.merge`. A morsel
+costs fixed Python time, so a pooled segment cuts one contiguous range
+per worker, and it pools only when its work (rows x per-row expression
+operations) repays the handoff and, for an aggregate, when per-worker
+partials shrink the input. Late morsel frames over the same base columns merge by
+concatenating their row ids, so a pooled chain hands the next operator
+the same selection vector a serial scan would.
+
+Performance-model reproductions (Table II/III) price *serial* work
+profiles, so the gate changes host wall time only, never the modeled
+Pi numbers.
 
 Repeated plans are served from a plan-fingerprint
 :class:`~repro.engine.cache.ResultCache` (single-flight), which is what
@@ -21,14 +34,17 @@ per platform.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 
+from repro.obs.metrics import HitMissStats
+
 from .cache import ResultCache
 from .executor import ExecContext, Executor, _annotate_rollups
-from .expr import Expr, ScalarSubquery
+from .expr import ColRef, Expr, Literal, ScalarSubquery
 from .fingerprint import plan_fingerprint
 from .frame import Frame
 from .merge import (
@@ -39,8 +55,6 @@ from .merge import (
     merge_topk,
 )
 from .morsel import (
-    DEFAULT_MORSEL_ROWS,
-    MIN_PARALLEL_ROWS,
     MorselContext,
     morsel_ranges,
     scan_morsel,
@@ -63,10 +77,39 @@ from .plan import (
     SortNode,
 )
 from .result import Result
-from .spill import maybe_spill_aggregate
+from .spill import aggregate_row_bytes, maybe_spill_aggregate
+from .types import STRING
 from .zonemap import BLOCK_SKIP, classify_blocks, extract_sargable, split_conjuncts
 
-__all__ = ["ParallelExecutor"]
+__all__ = ["MAX_RANGE_BYTES", "POOL_MIN_WORK", "ParallelExecutor"]
+
+# Work (table rows x expression operations per row) a segment needs
+# before pooling it pays. Pooling costs about 1 ms per segment on a
+# 2-core x86 host (CPython 3.11): per-range zone-map classification,
+# morsel contexts and frames, the thread handoff, the profile merge, and
+# the consumer reading rows another core wrote. One vectorized operation
+# costs about 0.5 ns per row there (0.1 for a mask AND, 1.6 for a float
+# multiply, over 600K rows), and two workers save at most half of
+# the serial time, so a split breaks even near 1 ms / (0.5 ns / 2) =
+# 4M row-operations. At SF 0.1 that pools Q1's, Q6's and Q12's lineitem
+# segments (9 to 15 operations per row) and leaves cheap chains such as
+# Q3's one compare, and every table smaller than lineitem, serial.
+POOL_MIN_WORK = 4_000_000
+
+# Largest working set one range may hold. A worker holds its range's
+# streamed columns (rewritten densely when a scan keeps most rows) and
+# one array per computed expression at once, and every pooled range of
+# every running query is resident together: Q1's lineitem segment at SF
+# 0.1 peaks at 13 MiB with 64K-row morsels but at 39 MiB with two
+# 300K-row ranges, which left a server about 30 MiB larger after one pass
+# over the 22 TPC-H queries. A worker whose share would exceed this splits it into equal
+# ranges (Q1 at SF 0.1 on two workers: four 150K-row ranges; Q6, whose
+# rows are narrower, keeps two).
+MAX_RANGE_BYTES = 16 << 20
+
+# Pool decisions per candidate segment: a hit pooled it, a miss ran it
+# serially (the span's ``reason`` attr says which gate decided).
+pool_stats = HitMissStats("engine.parallel.pool")
 
 
 def _collect_scalar_subqueries(obj, found: list[ScalarSubquery]) -> None:
@@ -82,6 +125,31 @@ def _collect_scalar_subqueries(obj, found: list[ScalarSubquery]) -> None:
             _collect_scalar_subqueries(value, found)
 
 
+def _expr_ops(obj) -> int:
+    """Vectorized operations an expression tree applies per row (column
+    references, literals and scalar subqueries cost none)."""
+    if isinstance(obj, (ColRef, Literal, ScalarSubquery)):
+        return 0
+    if isinstance(obj, Expr):
+        return 1 + sum(_expr_ops(value) for value in vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_expr_ops(value) for value in obj)
+    return 0
+
+
+def _column_domain(table, name: str) -> float:
+    """Upper bound on the distinct values of a base column: a string's
+    dictionary size, an integer's or date's zone-map span (NULL counts
+    as one more value); ``inf`` otherwise."""
+    column = table.column(name)
+    if column.dtype is STRING:
+        return len(column.dictionary) + (getattr(column, "valid", None) is not None)
+    zone = table.zone_map(name)
+    if zone is None or zone.nblocks == 0 or zone.mins.dtype.kind not in "iu":
+        return math.inf
+    return int(zone.maxs.max()) - int(zone.mins.min()) + 1 + bool(zone.null_counts.any())
+
+
 class _Segment:
     """A parallelizable plan fragment: a scan chain plus an optional cap."""
 
@@ -92,16 +160,59 @@ class _Segment:
         self.chain = chain  # [ScanNode, Filter/Project, ...] bottom-up
         self.node = node  # the plan node the segment replaces
 
+    def row_ops(self) -> int:
+        """Expression operations the segment applies per scanned row: its
+        predicates and computed columns, one per aggregate or sort key
+        plus the aggregates' input expressions."""
+        exprs: list = [self.chain[0].predicate]
+        for op in self.chain[1:]:
+            exprs += [op.predicate] if isinstance(op, FilterNode) else [e for _, e in op.exprs]
+        if self.kind == "aggregate":
+            exprs += [spec.expr for _, spec in self.node.aggs]
+            return _expr_ops(exprs) + len(self.node.aggs)
+        if self.kind == "topk":
+            return _expr_ops(exprs) + len(self.node.child.keys)
+        return _expr_ops(exprs)
+
+    def row_bytes(self, table) -> int:
+        """Working-set bytes per row of a range: every column the scan
+        streams, plus an 8-byte array per computed expression."""
+        scan = self.chain[0]
+        names = set(scan.columns) if scan.columns is not None else set(table.column_names)
+        if scan.predicate is not None:
+            names |= scan.predicate.references()
+        exprs = [e for op in self.chain[1:] if isinstance(op, ProjectNode) for _, e in op.exprs]
+        if self.kind == "aggregate":
+            exprs += [spec.expr for _, spec in self.node.aggs]
+        computed = sum(1 for e in exprs if e is not None and not isinstance(e, ColRef))
+        return sum(table.column(n).dtype.width for n in names) + 8 * computed
+
+    def group_domain(self, table) -> float:
+        """Upper bound on an aggregate's groups: the product of its keys'
+        base-column domains (``inf`` when a key is computed)."""
+        total = 1
+        for name in self.node.group_by:
+            for op in reversed(self.chain[1:]):
+                if isinstance(op, ProjectNode):
+                    expr = dict(op.exprs).get(name)
+                    if not isinstance(expr, ColRef):
+                        return math.inf
+                    name = expr.name
+            total *= _column_domain(table, name)
+        return total
+
 
 class ParallelExecutor(Executor):
     """Executes plans with intra-query (morsel) parallelism.
 
     Args:
         db: the database catalog.
-        workers: thread count (default: all host cores). ``workers=1``
-            still exercises the morsel/merge machinery, just inline.
-        morsel_rows: target rows per morsel; the effective size shrinks
-            so large scans yield at least one morsel per worker.
+        workers: thread count (default: all host cores).
+        morsel_rows: ``None`` (the default) lets the work gate decide
+            each segment and cuts one range per worker; an explicit
+            value forces every segment into morsels of at most that many
+            rows (and at least one per worker), even with one worker —
+            tests use it to drive every merge path on small data.
         cache_size: LRU capacity of the plan-fingerprint result cache;
             ``0`` disables caching.
     """
@@ -110,17 +221,15 @@ class ParallelExecutor(Executor):
         self,
         db,
         workers: int | None = None,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
+        morsel_rows: int | None = None,
         cache_size: int = 64,
-        min_parallel_rows: int = MIN_PARALLEL_ROWS,
         settings: OptimizerSettings | None = None,
         tracer=None,
         memory_budget=None,
     ):
         super().__init__(db, settings, tracer=tracer, memory_budget=memory_budget)
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
-        self.morsel_rows = max(1, morsel_rows)
-        self.min_parallel_rows = min_parallel_rows
+        self.morsel_rows = None if morsel_rows is None else max(1, morsel_rows)
         self.cache: ResultCache | None = ResultCache(cache_size) if cache_size else None
         # Semantic layer: caches literal-free finer aggregates so shape
         # re-runs with new filter literals re-slice instead of re-scan.
@@ -333,8 +442,6 @@ class ParallelExecutor(Executor):
             table, needed, allow_encoded=self.settings.compressed_execution
         ):
             return None
-        if table.nrows < max(self.min_parallel_rows, 2):
-            return None
         return [current] + ops[::-1]
 
     def _match_segment(self, node: PlanNode) -> _Segment | None:
@@ -364,27 +471,102 @@ class ParallelExecutor(Executor):
 
     # -- segment execution ---------------------------------------------
 
-    def _effective_morsel_rows(self, nrows: int) -> int:
-        per_worker = -(-nrows // self.workers)  # ceil div
-        return max(1, min(self.morsel_rows, per_worker))
+    def _split(
+        self, segment: _Segment, table, partial_aggs
+    ) -> tuple[str, list[tuple[int, int]]]:
+        """The work gate: ``(reason, ranges)`` for a candidate segment;
+        fewer than two ranges runs it serially. ``reason`` names the rule
+        that decided:
+
+        * ``forced`` — an explicit ``morsel_rows`` splits every segment.
+        * ``budget`` — under a memory budget the serial aggregate would
+          overflow, a grouped aggregate pools in ranges small enough
+          that one partial fits its worker's share of the budget, so
+          partials pre-aggregate in memory and only the merge spills.
+        * ``rows`` — below :data:`POOL_MIN_WORK` (rows x per-row
+          operations) the segment runs serially; above it, one range
+          per worker (or equal ranges of at most
+          :data:`MAX_RANGE_BYTES` each).
+        * ``domain`` — an aggregate whose group keys may have more
+          distinct values than a range has rows runs serially: partials
+          would not shrink the input, so the merge would redo its work.
+        """
+        nrows = table.nrows
+        per_worker = -(-nrows // self.workers)
+        if self.morsel_rows is not None:
+            return "forced", morsel_ranges(nrows, max(1, min(self.morsel_rows, per_worker)))
+        grouped = segment.kind == "aggregate" and bool(segment.node.group_by)
+        budget = self.memory_budget
+        if self.workers > 1 and grouped and budget is not None and budget.limit_bytes is not None:
+            row_bytes = aggregate_row_bytes(segment.node.group_by, partial_aggs)
+            if nrows * row_bytes > budget.limit_bytes:
+                bound = max(1, budget.limit_bytes // self.workers // row_bytes)
+                return "budget", morsel_ranges(nrows, min(per_worker, bound))
+        if self.workers < 2 or nrows * segment.row_ops() < POOL_MIN_WORK:
+            return "rows", [(0, nrows)]
+        splits = -(-per_worker * segment.row_bytes(table) // MAX_RANGE_BYTES)
+        range_rows = -(-nrows // (self.workers * splits))
+        if grouped and segment.group_domain(table) > range_rows:
+            return "domain", [(0, nrows)]
+        return "rows", morsel_ranges(nrows, range_rows)
+
+    def _run_pipeline(
+        self, segment: _Segment, bounds: tuple[int, int], ctx, aggs, blocks=None
+    ) -> Frame:
+        """Run the segment over rows ``[lo, hi)`` of its table with the
+        serial executor's operator calls, charging ``ctx``; ``aggs`` are
+        the final aggregates serially, the partial ones per morsel, and
+        ``blocks`` the range's zone-map classification if known."""
+        scan = segment.chain[0]
+        late = self.settings.late_materialization
+        ctx.begin_operator("scan")
+        frame = scan_morsel(
+            self.db.table(scan.table),
+            list(scan.columns) if scan.columns is not None else None,
+            bounds[0], bounds[1], ctx,
+            predicate=scan.predicate,
+            skipping=self.settings.zone_map_skipping,
+            late=late,
+            compressed=self.settings.compressed_execution,
+            blocks=blocks,
+        )
+        for op in segment.chain[1:]:
+            if isinstance(op, FilterNode):
+                ctx.begin_operator("filter")
+                frame = execute_filter(frame, op.predicate, ctx, late=late)
+            else:
+                ctx.begin_operator("project")
+                frame = execute_project(frame, dict(op.exprs), ctx)
+        if segment.kind == "aggregate":
+            ctx.begin_operator("aggregate")
+            # Budget-aware: each worker's partial state charges the
+            # query's shared MemoryBudget and spills when over.
+            frame = maybe_spill_aggregate(frame, list(segment.node.group_by), aggs, ctx)
+        elif segment.kind == "topk":
+            ctx.begin_operator("topk")
+            frame = execute_topk(
+                frame, list(segment.node.child.keys), segment.node.n, ctx
+            )
+        return frame
 
     def _preskip_morsels(
         self, table, scan: ScanNode, ranges: list[tuple[int, int]]
-    ) -> tuple[list[tuple[int, int]], dict | None]:
+    ) -> tuple[list[tuple[int, int]], dict, dict | None]:
         """Drop morsels the zone maps prove entirely empty before they are
         ever scheduled — skipped work should not even cost a thread handoff.
 
-        Returns the surviving ranges plus the accounting for the dropped
-        ones (zone probes spent, bytes and blocks skipped). Probes for
-        surviving morsels are charged by their workers, which re-derive
-        the block classification locally (an O(blocks) recomputation).
-        At least one range is always kept so the segment still produces a
-        well-formed (possibly empty) frame through the normal path.
+        Returns the surviving ranges, their block classifications (keyed
+        by range; each worker's scan reuses its range's instead of
+        classifying again, and charges its probes), and the accounting
+        for the dropped ranges (zone probes spent, bytes and blocks
+        skipped). At least one range is always kept so the segment still
+        produces a well-formed (possibly empty) frame through the normal
+        path.
         """
         conjuncts = split_conjuncts(scan.predicate)
         sargable = [s for s in (extract_sargable(c) for c in conjuncts) if s is not None]
         if not sargable:
-            return ranges, None
+            return ranges, {}, None
         names = list(scan.columns) if scan.columns is not None else list(table.column_names)
         for ref in sorted(scan.predicate.references()):
             if ref not in names:
@@ -392,38 +574,35 @@ class ParallelExecutor(Executor):
         row_width = sum(table.column(n).dtype.width for n in names)
         kept: list[tuple[int, int]] = []
         dropped: list[tuple[int, int, int, int]] = []
+        blocks: dict[tuple[int, int], tuple] = {}
         for lo, hi in ranges:
             codes, probes = classify_blocks(table, sargable, lo, hi)
+            blocks[lo, hi] = (codes, probes)
             if len(codes) and bool((codes == BLOCK_SKIP).all()):
                 dropped.append((lo, hi, probes, len(codes)))
             else:
                 kept.append((lo, hi))
         if not kept and dropped:
             lo, hi, _, _ = dropped.pop(0)
-            kept.append((lo, hi))  # its worker re-derives the skip itself
+            kept.append((lo, hi))  # its worker charges the skip itself
         if not dropped:
-            return kept, None
+            return kept, blocks, None
         stats = {
             "skipped_bytes": float(sum((hi - lo) * row_width for lo, hi, _, _ in dropped)),
             "zone_probes": sum(p for _, _, p, _ in dropped),
             "blocks_skipped": sum(b for _, _, _, b in dropped),
         }
-        return kept, stats
+        return kept, blocks, stats
 
     def _exec_segment(self, segment: _Segment, ctx: ExecContext) -> Frame:
         scan = segment.chain[0]
         table = self.db.table(scan.table)
-        ranges = morsel_ranges(table.nrows, self._effective_morsel_rows(table.nrows))
-        if len(ranges) < 2:
-            return super()._exec(segment.node, ctx)
-
-        pre_skip = None
-        if scan.predicate is not None and self.settings.zone_map_skipping:
-            ranges, pre_skip = self._preskip_morsels(table, scan, ranges)
 
         # Resolve scalar subqueries on the main thread so morsel workers
         # only ever hit the warm cache — a worker re-entering the executor
-        # could otherwise deadlock the pool on itself.
+        # could otherwise deadlock the pool on itself. Serial segments
+        # resolve them here too, so a subquery's own segments never nest
+        # inside this one's span.
         subqueries: list[ScalarSubquery] = []
         if scan.predicate is not None:
             _collect_scalar_subqueries(scan.predicate, subqueries)
@@ -441,24 +620,33 @@ class ParallelExecutor(Executor):
         partial_aggs = None
         if segment.kind == "aggregate":
             partial_aggs, _ = decompose_aggregates(dict(segment.node.aggs))
+        reason, ranges = self._split(segment, table, partial_aggs)
+        name = f"segment:{segment.kind}:{scan.table}"
+        if len(ranges) < 2:
+            pool_stats.miss()
+            with ctx.pipeline(name, parallel="serial", reason=reason):
+                aggs = dict(segment.node.aggs) if segment.kind == "aggregate" else None
+                return self._run_pipeline(segment, (0, table.nrows), ctx, aggs)
+        pool_stats.hit()
+        with ctx.pipeline(
+            name, parallel="pool", reason=reason, workers=self.workers
+        ) as seg_span:
+            return self._exec_pooled(segment, ctx, ranges, partial_aggs, seg_span)
 
-        late = self.settings.late_materialization
+    def _exec_pooled(
+        self, segment: _Segment, ctx: ExecContext, ranges, partial_aggs, seg_span
+    ) -> Frame:
+        """Run a segment once per morsel on the pool and merge."""
+        scan = segment.chain[0]
+        table = self.db.table(scan.table)
+        pre_skip, blocks = None, {}
+        if scan.predicate is not None and self.settings.zone_map_skipping:
+            ranges, blocks, pre_skip = self._preskip_morsels(table, scan, ranges)
+        if seg_span is not None:
+            seg_span.annotate(morsels=len(ranges))
 
         tracer = ctx.tracer
         tracing = tracer.enabled
-        seg_span = None
-        if tracing:
-            # A still-open operator span would overlap the segment span
-            # as a sibling; close it first (scalar-subquery pre-warm above
-            # already emitted its operator spans under the main pipeline,
-            # strictly before the segment interval starts).
-            ctx.close_op_span()
-            seg_span = tracer.start(
-                "pipeline", f"segment:{segment.kind}:{scan.table}",
-                parent=ctx.pipeline_span,
-            )
-            seg_span.annotate(morsels=len(ranges), workers=self.workers)
-
         cancel = ctx.cancel
 
         def run_morsel(bounds: tuple[int, int]) -> tuple[Frame, "object"]:
@@ -476,38 +664,15 @@ class ParallelExecutor(Executor):
             else:
                 mspan = None
                 mctx = MorselContext(self.db, ctx)
-            mctx.begin_operator("scan")
-            frame = scan_morsel(
-                table,
-                list(scan.columns) if scan.columns is not None else None,
-                bounds[0], bounds[1], mctx,
-                predicate=scan.predicate,
-                skipping=self.settings.zone_map_skipping,
-                late=late,
-                compressed=self.settings.compressed_execution,
+            frame = self._run_pipeline(
+                segment, bounds, mctx, partial_aggs, blocks.get(bounds)
             )
-            for op in segment.chain[1:]:
-                if isinstance(op, FilterNode):
-                    mctx.begin_operator("filter")
-                    frame = execute_filter(frame, op.predicate, mctx, late=late)
-                else:
-                    mctx.begin_operator("project")
-                    frame = execute_project(frame, dict(op.exprs), mctx)
-            if segment.kind == "aggregate":
-                mctx.begin_operator("aggregate")
-                # Budget-aware: each worker's partial state charges the
-                # query's shared MemoryBudget and spills when over.
-                frame = maybe_spill_aggregate(
-                    frame, list(segment.node.group_by), partial_aggs, mctx
-                )
-            elif segment.kind == "topk":
-                keys = list(segment.node.child.keys)
-                mctx.begin_operator("topk")
-                frame = execute_topk(frame, keys, segment.node.n, mctx)
-            # Morsel boundaries are pipeline breakers: the merge phase
-            # concatenates physical columns, so late morsels gather here
-            # (charged to the morsel's last operator).
-            frame = frame.dense(mctx.work)
+            if segment.kind != "chain":
+                # Partial aggregates and local top-k merge by physical
+                # concatenation; gather late morsels here, charged to the
+                # morsel's last operator. Chains stay late: their row ids
+                # merge without a copy.
+                frame = frame.dense(mctx.work)
             if mspan is not None:
                 mctx.close_op_span()
                 mspan.annotate(rows=frame.nrows)
@@ -549,15 +714,11 @@ class ParallelExecutor(Executor):
                 tracer.finish(mark, end_s=mark.start_s)
 
         if segment.kind == "aggregate":
-            out = merge_partial_aggregates(
+            return merge_partial_aggregates(
                 frames, list(segment.node.group_by), dict(segment.node.aggs), ctx
             )
-        elif segment.kind == "topk":
-            out = merge_topk(
+        if segment.kind == "topk":
+            return merge_topk(
                 frames, list(segment.node.child.keys), segment.node.n, ctx
             )
-        else:
-            out = concat_frames(frames)
-        if seg_span is not None:
-            tracer.finish(seg_span)
-        return out
+        return concat_frames(frames, ctx.work)

@@ -82,6 +82,7 @@ __all__ = [
     "SpillFile",
     "SpillSet",
     "aggregate_estimate",
+    "aggregate_row_bytes",
     "choose_partitions",
     "join_build_estimate",
     "maybe_spill_aggregate",
@@ -515,11 +516,15 @@ def join_build_estimate(right: Frame) -> int:
     return int(right.nbytes + right.nrows * HASH_ENTRY_BYTES)
 
 
+def aggregate_row_bytes(group_by, aggs) -> int:
+    """State of one group: its keys and accumulators plus a hash entry."""
+    return 8 * (len(group_by) + max(1, len(aggs))) + HASH_ENTRY_BYTES
+
+
 def aggregate_estimate(frame: Frame, group_by, aggs) -> int:
     """Upper bound on grouped-aggregation state: worst case every row is
     its own group, each holding its keys and accumulators."""
-    width = 8 * (len(group_by) + max(1, len(aggs)))
-    return int(frame.nrows * (width + HASH_ENTRY_BYTES))
+    return int(frame.nrows * aggregate_row_bytes(group_by, aggs))
 
 
 def _check_cancel(ctx) -> None:

@@ -110,6 +110,12 @@ class MeasuredScaling:
         )
 
 
+# The scaling curve forces a fixed morsel split (bypassing the executor's
+# work gate), so every worker count runs the same morsel machinery and
+# the curve isolates the cost of adding workers.
+SCALING_MORSEL_ROWS = 65536
+
+
 def measure_parallel_scaling(
     db,
     plans,
@@ -128,12 +134,11 @@ def measure_parallel_scaling(
     import math
 
     from repro.engine import ParallelExecutor
-    from repro.engine.morsel import DEFAULT_MORSEL_ROWS
 
     worker_counts = sorted(set(int(w) for w in worker_counts))
     if not worker_counts or worker_counts[0] < 1:
         raise ValueError("worker counts must be positive")
-    rows = morsel_rows or DEFAULT_MORSEL_ROWS
+    rows = morsel_rows or SCALING_MORSEL_ROWS
     best: dict[int, list[float]] = {w: [] for w in worker_counts}
     for plan in plans:
         for w in worker_counts:

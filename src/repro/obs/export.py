@@ -192,7 +192,8 @@ def validate_trace(doc: dict, schema: dict | None = None) -> None:
 # -- Text rendering -----------------------------------------------------
 
 _TREE_ATTRS = ("tuples_in", "tuples_out", "seq_bytes", "skipped_bytes",
-               "gather_bytes", "saved_bytes", "cached", "coverage", "kernel")
+               "gather_bytes", "saved_bytes", "cached", "coverage", "kernel",
+               "parallel", "reason")
 
 
 def render_tree(tracer, max_children: int = 12) -> str:

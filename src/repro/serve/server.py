@@ -152,8 +152,9 @@ class QueryServer:
             disables breaking (the default breaker trips after 5
             consecutive failures).
         cache_size: single-flight result-cache capacity (0 disables).
-        morsel_rows: engine morsel size (tests shrink it to force many
-            morsel boundaries).
+        morsel_rows: forced engine morsel size (``None``, the default,
+            lets the executor's work gate split segments; tests set it to
+            force many morsel boundaries).
         tracer: optional tracer; each request contributes one
             ``request`` root span.
         memory_budget: byte cap on operator working memory (a
@@ -178,14 +179,9 @@ class QueryServer:
     ):
         self.db = db
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        exec_kwargs = {}
-        if morsel_rows is not None:
-            exec_kwargs["morsel_rows"] = morsel_rows
-        if memory_budget is not None:
-            exec_kwargs["memory_budget"] = memory_budget
         self.executor = ParallelExecutor(
             db, workers=workers, settings=settings, cache_size=cache_size,
-            tracer=self.tracer, **exec_kwargs,
+            tracer=self.tracer, morsel_rows=morsel_rows, memory_budget=memory_budget,
         )
         self.memory_budget = self.executor.memory_budget
         self.retry = retry if retry is not None else RetryPolicy()

@@ -20,6 +20,10 @@ from repro.engine.cache import ResultCache
 from repro.engine.keycache import KeyCache
 
 
+def _stable_argsort(array: np.ndarray) -> np.ndarray:
+    return np.argsort(array, kind="stable")
+
+
 def _run_threads(n: int, target) -> None:
     barrier = threading.Barrier(n)
 
@@ -178,7 +182,7 @@ class TestKeyCacheStress:
         assert stats["entries"] <= 4
         assert stats["hits"] + stats["misses"] == self.N_THREADS * self.ROUNDS
 
-    def test_concurrent_sort_order_matches_numpy(self, arrays):
+    def test_concurrent_memo_matches_numpy(self, arrays):
         cache = KeyCache(max_entries=4, max_bytes=1 << 20)
         expected = [np.argsort(a, kind="stable") for a in arrays]
         errors = []
@@ -189,7 +193,7 @@ class TestKeyCacheStress:
                 for _ in range(self.ROUNDS):
                     j = rng.randrange(len(arrays))
                     np.testing.assert_array_equal(
-                        cache.sort_order(arrays[j]), expected[j]
+                        cache.memo("argsort", arrays[j], _stable_argsort), expected[j]
                     )
             except BaseException as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
@@ -210,7 +214,7 @@ class TestKeyCacheStress:
                     if rng.random() < 0.5:
                         cache.factorize(arrays[j])
                     else:
-                        cache.sort_order(arrays[j])
+                        cache.memo("argsort", arrays[j], _stable_argsort)
             except BaseException as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 
@@ -238,14 +242,14 @@ class TestKeyCacheStress:
         assert not errors
         with cache._lock:
             recomputed = sum(
-                cache._payload_bytes(source, value)
-                for source, value in cache._entries.values()
+                cache._payload_bytes(source(), value)
+                for source, value, _ in cache._entries.values()
             )
             assert cache._bytes == recomputed
 
     def test_oversized_payload_is_not_cached(self):
         cache = KeyCache(max_entries=4, max_bytes=128)
         big = np.arange(1000, dtype=np.int64)
-        order = cache.sort_order(big)
+        order = cache.memo("argsort", big, _stable_argsort)
         np.testing.assert_array_equal(order, np.argsort(big, kind="stable"))
         assert cache.stats()["entries"] == 0

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Column, Executor, Frame, OptimizerSettings, ParallelExecutor, col
-from repro.engine.keycache import KeyCache, combine_codes, key_cache
+from repro.engine.keycache import KeyCache, combine_codes, factorize, key_cache
 from repro.engine.operators.aggregate import count_star, execute_aggregate, sum_
 from repro.engine.plan import LimitNode, SortNode
 from repro.engine.profile import WorkProfile
@@ -465,11 +465,27 @@ class TestKeyCache:
         cache.factorize(b)
         assert cache.stats()["misses"] == 2
 
-    def test_sort_order_cached_and_stable(self):
+    def test_entries_die_with_their_array(self):
+        # A query's intermediate arrays can never be looked up again once
+        # they are freed, so their entries must not keep them resident.
+        cache = KeyCache()
+        kept = np.arange(1000, dtype=np.int64)
+        cache.factorize(kept)
+        transient = np.arange(1000, dtype=np.int64) * 3
+        cache.factorize(transient)
+        assert cache.stats()["entries"] == 2
+        del transient
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["bytes"] == cache._payload_bytes(kept, factorize(kept))
+        cache.factorize(kept)
+        assert cache.stats()["hits"] == 1
+
+    def test_memo_cached_and_stable(self):
         cache = KeyCache()
         arr = np.asarray([2, 1, 2, 0], dtype=np.int64)
-        o1 = cache.sort_order(arr)
-        o2 = cache.sort_order(arr)
+        o1 = cache.memo("argsort", arr, lambda a: np.argsort(a, kind="stable"))
+        o2 = cache.memo("argsort", arr, lambda a: np.argsort(a, kind="stable"))
         assert o1 is o2
         assert o1.tolist() == [3, 1, 0, 2]
 

@@ -39,8 +39,7 @@ DB = _build_db()
 
 @pytest.fixture(scope="module")
 def parallel():
-    with ParallelExecutor(DB, workers=3, morsel_rows=128, cache_size=0,
-                          min_parallel_rows=1) as ex:
+    with ParallelExecutor(DB, workers=3, morsel_rows=128, cache_size=0) as ex:
         yield ex
 
 
